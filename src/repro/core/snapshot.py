@@ -55,8 +55,10 @@ if TYPE_CHECKING:  # pragma: no cover
 #: policy state and log, per-client partition epochs, and the transport's
 #: stale-epoch reroute counter.  v3 added the elastic fleet shape (stripe
 #: order, slot count, retired slots), the elastic policy's id-keyed
-#: streaks, and the service runtime's ingest queue and counters.
-CHECKPOINT_VERSION = 3
+#: streaks, and the service runtime's ingest queue and counters.  v4
+#: added ``"broadcast"`` envelopes (one region broadcast carrying its
+#: receivers) to the queued-envelope payload.
+CHECKPOINT_VERSION = 4
 
 
 @dataclass(slots=True)

@@ -17,7 +17,10 @@ order.  A zero-delay hop (the default -- no latency model attached, or a
 model with all-zero delays) completes *inline at send time*, which is
 exactly the paper's assumption that protocol exchanges complete within
 the 30-second step; the inline path is bit-identical to the historical
-call-at-send transport.
+call-at-send transport.  Under a jitter-free downlink delay with no loss,
+reliability or trace attached, a region broadcast travels as *one*
+``"broadcast"`` envelope carrying its receivers -- the paper's one
+message per covering station -- instead of one envelope per receiver.
 
 One modeling note: the server's *minimal station cover* of a monitoring
 region picks stations whose coverage circles intersect every region cell,
@@ -63,12 +66,18 @@ class Envelope:
     monotonic stamp allocated at enqueue time -- so two messages from the
     same sender can never reorder, and ties across senders break by the
     sender key (:data:`SERVER_SENDER` before any object id).
+
+    ``kind`` is ``"uplink"``, ``"uplink_batch"`` (a columnar
+    :class:`~repro.core.messages.UplinkReportBatch`, one record per
+    logical uplink), ``"downlink"`` (one receiver's hop), ``"broadcast"``
+    (one region broadcast for every receiver in ``receivers``), or a
+    reliability exchange kind.
     """
 
     deliver_step: int
     sender: int
     seq: int
-    kind: str  # "uplink" | "downlink" | a reliability exchange kind
+    kind: str
     message: object
     sent_step: int
     receiver: ObjectId | None = None
@@ -81,6 +90,9 @@ class Envelope:
     # shard id frozen at enqueue) and the mismatch is counted as a
     # stale-epoch reroute rather than a drop.
     epoch: int = 0
+    # "broadcast" envelopes: the ascending ids of the receivers attached
+    # at send time.
+    receivers: list[ObjectId] | None = None
 
 
 class DownlinkReceiver(Protocol):
@@ -229,9 +241,10 @@ class SimulatedTransport:
         self.report_buffer: "ReportBuffer | None" = None
         # Vectorized broadcast fan-out (wired by the fastpath runtime).
         # When set, eligible region broadcasts are applied to all covered
-        # receivers in bulk instead of one ``_deliver`` call each; the
-        # hook declines (returns False) whenever loss, reliability,
-        # tracing, or deferred delivery require per-receiver semantics.
+        # receivers in bulk instead of one ``_deliver`` call each (at send
+        # time, or when their broadcast envelope opens); the hook declines
+        # (returns False) whenever jitter, loss, reliability, or tracing
+        # require per-receiver semantics.
         self.fanout = None
 
     # ------------------------------------------------------------- wiring
@@ -327,6 +340,40 @@ class SimulatedTransport:
             return 0
         return self.latency.downlink_delay()
 
+    def bulk_downlink_delay(self) -> int | None:
+        """How a region broadcast travels as one unit, if it can.
+
+        ``0``: inline at send time.  ``> 0``: as one ``"broadcast"``
+        envelope due that many steps later.  ``None``: as per-receiver
+        hops, because jitter (a delay roll), loss (a drop roll) or
+        reliability (a sequence number) is drawn per receiver, or a trace
+        log is attached (traced runs keep the per-receiver hops).
+        """
+        if self.loss is not None or self.reliability is not None or self.trace is not None:
+            return None
+        if not self.latency_active:
+            return 0
+        latency = self.latency
+        if latency.jitter_steps:
+            return None
+        return latency.downlink_steps
+
+    def park_broadcast(self, message: object, receivers: list[ObjectId], delay: int) -> None:
+        """Park one region broadcast as a single envelope.
+
+        ``receivers`` are the ascending ids of the receivers attached at
+        send time.  The envelope takes the first of a block of
+        ``len(receivers)`` envelope seqs -- the block the per-receiver
+        hops would have taken -- so every later seq, and the
+        ``(sender, seq)`` drain order against every other envelope, stay
+        exactly what per-receiver delivery produces.
+        """
+        if not receivers:
+            return
+        envelope = self._enqueue("broadcast", message, SERVER_SENDER, delay)
+        envelope.receivers = receivers
+        self._envelope_seq += len(receivers) - 1
+
     def _enqueue(
         self,
         kind: str,
@@ -389,9 +436,10 @@ class SimulatedTransport:
         live_epoch = getattr(self._server, "partition_epoch", 0)
         for env in batch:
             if env.kind == "uplink_batch":
-                if env.epoch != live_epoch:
-                    self.stale_epoch_reroutes += 1
                 message: UplinkReportBatch = env.message  # type: ignore[assignment]
+                if env.epoch != live_epoch:
+                    # One reroute per record: each is a logical uplink.
+                    self.stale_epoch_reroutes += message.count
                 for k in range(message.count):
                     units.append((message.oid[k], message.seq[k], env, k))
             else:
@@ -425,10 +473,13 @@ class SimulatedTransport:
             batch_apply(run)
 
     def _open_envelope(self, envelope: Envelope, step: int) -> None:
-        """Hand one due envelope to its receiver."""
+        """Hand one due envelope to its receiver(s)."""
+        kind = envelope.kind
+        if kind == "broadcast":
+            self._open_broadcast(envelope, step)
+            return
         self._delivered_deferred += 1
         self._delivered_delay_sum += step - envelope.sent_step
-        kind = envelope.kind
         if kind == "uplink":
             if envelope.epoch != getattr(self._server, "partition_epoch", 0):
                 # The map moved while this hop was in flight; on_uplink
@@ -448,6 +499,22 @@ class SimulatedTransport:
             client.on_downlink(envelope.message)
             return
         self.reliability.open_envelope(envelope)
+
+    def _open_broadcast(self, envelope: Envelope, step: int) -> None:
+        """Deliver a broadcast envelope: the fan-out applies it in bulk,
+        or each receiver still attached gets it, in ascending order."""
+        receivers = envelope.receivers
+        count = len(receivers)
+        self._delivered_deferred += count
+        self._delivered_delay_sum += count * (step - envelope.sent_step)
+        message = envelope.message
+        if self.fanout is not None and self.fanout.open_broadcast(message, receivers):
+            return
+        clients = self._clients
+        for oid in receivers:
+            client = clients.get(oid)
+            if client is not None:  # else detached while in flight
+                client.on_downlink(message)
 
     def discard_queued(self, predicate: Callable[[Envelope], bool]) -> int:
         """Drop queued, not-yet-delivered envelopes matching ``predicate``.
@@ -472,12 +539,17 @@ class SimulatedTransport:
 
     def pending_count(self) -> int:
         """Logical messages currently in flight (enqueued, not yet
-        delivered); a batched-report envelope counts once per record."""
+        delivered); a batched-report envelope counts once per record and
+        a broadcast envelope once per receiver, so the count is the same
+        as under per-message envelopes."""
         total = 0
         for batch in self._queue.values():
             for env in batch:
-                if env.kind == "uplink_batch":
+                kind = env.kind
+                if kind == "uplink_batch":
                     total += env.message.count  # type: ignore[attr-defined]
+                elif kind == "broadcast":
+                    total += len(env.receivers)  # type: ignore[arg-type]
                 else:
                     total += 1
         return total
@@ -698,6 +770,13 @@ class SimulatedTransport:
             )
         if meter:
             self.serialization_seconds += perf_counter() - t0
+        delay = 0 if self.latency is None else self.bulk_downlink_delay()
+        if delay:
+            clients = self._clients
+            self.park_broadcast(
+                message, sorted(oid for oid in receivers if oid in clients), delay
+            )
+            return len(station_ids)
         for oid in sorted(receivers):
             self._deliver(oid, message)
         return len(station_ids)

@@ -30,9 +30,16 @@ Equivalence to the per-receiver loop:
 - Message and energy accounting uses the same ledger call with the same
   receiver membership.
 - The fan-out declines (falls back to the scalar loop) whenever per-
-  receiver semantics matter: loss rolls, reliability sequencing, trace
-  logging, deferred delivery, detached radios, or a lazy-propagation
-  velocity broadcast carrying descriptors.
+  receiver semantics matter: jitter, loss rolls, reliability sequencing,
+  trace logging, detached radios, or a lazy-propagation velocity
+  broadcast carrying descriptors.
+
+Under a jitter-free downlink delay the transport parks an accepted
+broadcast as one envelope carrying its receivers; :meth:`open_broadcast`
+applies it in bulk when the envelope opens.  The argument above carries
+over unchanged: the per-receiver envelopes it replaces were contiguous in
+the drain order, so their handlers ran back to back against the same
+delivery-time state the appliers read.
 """
 
 from __future__ import annotations
@@ -95,23 +102,24 @@ class BroadcastFanout:
 
     # ------------------------------------------------------------ dispatch
 
-    def try_broadcast(self, station_ids, region, message) -> bool:
-        """Apply one region broadcast in bulk; False declines to scalar."""
-        applier = self._appliers.get(type(message))
-        if applier is None:
-            return False
-        transport = self.transport
-        if (
-            transport.loss is not None
-            or transport.reliability is not None
-            or transport.trace is not None
-            or transport.latency_active
-            or len(transport._clients) != self.store.n
-        ):
-            return False
+    def _applier_for(self, message):
+        """The bulk applier for ``message``, or None to stay per receiver."""
         if type(message) is VelocityChangeBroadcast and message.descriptors:
             # Lazy propagation: receivers may install from the expanded
             # descriptors; keep the scalar per-receiver path.
+            return None
+        return self._appliers.get(type(message))
+
+    def try_broadcast(self, station_ids, region, message) -> bool:
+        """Apply one region broadcast in bulk (inline at a zero downlink
+        delay, else parked as one broadcast envelope); False declines to
+        the transport's per-receiver loop."""
+        applier = self._applier_for(message)
+        if applier is None:
+            return False
+        transport = self.transport
+        delay = transport.bulk_downlink_delay()
+        if delay is None or len(transport._clients) != self.store.n:
             return False
         mask = self.coverage.receiver_mask(station_ids, region)
         receivers = self.store.oids[mask].tolist()
@@ -125,6 +133,26 @@ class BroadcastFanout:
         )
         if meter:
             transport.serialization_seconds += perf_counter() - t0
+        if delay:
+            transport.park_broadcast(message, sorted(receivers), delay)
+            return True
+        applier(message, mask, set(receivers))
+        return True
+
+    def open_broadcast(self, message, receivers: list["ObjectId"]) -> bool:
+        """Apply one opened broadcast envelope in bulk to its carried
+        receivers; False declines to the transport's per-receiver loop
+        (no applier, or a receiver's radio detached while in flight)."""
+        applier = self._applier_for(message)
+        if applier is None:
+            return False
+        attached = self.transport._clients
+        if any(oid not in attached for oid in receivers):
+            return False
+        store = self.store
+        row_of = store.row_of
+        mask = self.np.zeros(store.n, dtype=bool)
+        mask[[row_of[oid] for oid in receivers]] = True
         applier(message, mask, set(receivers))
         return True
 

@@ -3,10 +3,13 @@
 The paper reasons about propagation delay analytically (dead reckoning
 exists *because* velocity broadcasts take time to reach the objects) but
 simulates instantaneous delivery.  :class:`LatencyModel` makes the delay
-explicit: every uplink and every per-receiver downlink hop is stamped
-with a delivery delay in whole simulation steps, optionally widened by
-seeded uniform jitter, and the transport defers the message into its
-envelope queue until the delay elapses.
+explicit: every uplink and every downlink hop is stamped with a
+delivery delay in whole simulation steps, optionally widened by seeded
+uniform jitter, and the transport defers the message into its envelope
+queue until the delay elapses.  A region broadcast reaches each receiver
+after ``downlink_steps``; without jitter (and without loss, reliability
+or tracing) the transport parks it as one envelope for all its
+receivers, with jitter it stamps one hop per receiver.
 
 A delay of zero keeps the hop *inline* -- it completes within the
 sending step, exactly the paper's synchrony assumption -- so the default
@@ -29,10 +32,11 @@ class LatencyModel:
 
     Attributes:
         uplink_steps: delivery delay of an object -> server message.
-        downlink_steps: delivery delay of one server -> object hop (each
-            receiver of a broadcast is an independent hop).
+        downlink_steps: delivery delay of one server -> object hop (every
+            receiver of a broadcast gets it after this delay).
         jitter_steps: extra uniform delay in ``[0, jitter_steps]`` added
-            per hop, drawn from the seeded jitter stream.
+            per hop, drawn from the seeded jitter stream (one draw per
+            receiver of a broadcast).
         seed: seed of the jitter stream (unused while ``jitter_steps``
             is zero -- no randomness is consumed).
     """

@@ -50,6 +50,18 @@ def make_system(
     )
 
 
+def per_receiver(monkeypatch, transport):
+    """Make ``transport`` deliver every deferred broadcast as one envelope
+    per receiver, with the fan-out off under latency: the per-receiver
+    twin a default run (one envelope per broadcast) must match."""
+    bulk = transport.bulk_downlink_delay
+    monkeypatch.setattr(
+        transport,
+        "bulk_downlink_delay",
+        lambda: None if transport.latency_active else bulk(),
+    )
+
+
 def circle_query(oid, radius, query_filter=None):
     return QuerySpec(
         oid=oid, region=Circle(0, 0, radius), filter=query_filter or TrueFilter()

@@ -27,6 +27,8 @@ from repro.sim import TraceLog
 from repro.sim.rng import SimulationRng
 from repro.workload import generate_workload, paper_defaults
 
+from tests.conftest import per_receiver
+
 
 @pytest.fixture
 def grid():
@@ -376,7 +378,9 @@ class TestDeferredReliability:
 # ------------------------------------------- full-system differentials
 
 
-def build_system(engine, latency=None, shards=1, scale=0.012, seed=42, config_latency=0):
+def build_system(
+    engine, latency=None, shards=1, scale=0.012, seed=42, config_latency=0, prepare=None
+):
     params = dataclasses.replace(paper_defaults(), seed=seed).scaled(scale)
     rng = SimulationRng(params.seed)
     workload = generate_workload(params, rng.fork(1))
@@ -398,6 +402,8 @@ def build_system(engine, latency=None, shards=1, scale=0.012, seed=42, config_la
         track_accuracy=True,
         latency=latency,
     )
+    if prepare is not None:
+        prepare(system)  # before the installs: they broadcast too
     system.install_queries(workload.query_specs)
     return system
 
@@ -556,3 +562,285 @@ class TestChaosUnderLatency:
         report = run_chaos(engine="reference", steps=12, scale=0.015, seed=7)
         assert report["recovery_basis"] == "oracle"
         assert report["per_step"]["twin_divergence"] is None
+
+
+# ------------------------------------------------- broadcast envelopes
+
+# Message types the server sends with ``broadcast`` (never with ``send``).
+BROADCAST_TYPES = {
+    "QueryInstallBroadcast",
+    "QueryUpdateBroadcast",
+    "QueryRemoveBroadcast",
+    "VelocityChangeBroadcast",
+    "ResyncDirective",
+    "RebalanceDirective",
+}
+
+
+class _LoggingClient:
+    def __init__(self, oid, log):
+        self.oid = oid
+        self.log = log
+
+    def on_downlink(self, message):
+        self.log.append((self.oid, message.bits))
+
+
+def make_untraced_transport(layout, grid, latency):
+    transport = SimulatedTransport(layout, grid, MessageLedger())
+    transport.set_latency(latency)
+    server = FakeServer()
+    transport.attach_server(server)
+    return transport, server
+
+
+BROADCAST_OPS = st.lists(
+    st.one_of(
+        st.tuples(st.just("uplink"), st.integers(0, 3)),
+        st.tuples(st.just("send"), st.integers(0, 3)),
+        st.tuples(st.just("broadcast"), st.integers(0, 3)),
+        st.tuples(st.just("detach"), st.integers(0, 3)),
+        st.tuples(st.just("step"), st.integers(0, 0)),
+    ),
+    min_size=1,
+    max_size=30,
+)
+
+
+class TestBroadcastEnvelope:
+    """A deferred region broadcast is one envelope carrying its receivers,
+    observably identical to one envelope per receiver."""
+
+    POSITIONS = [(oid, Point(5.0 + 10 * oid, 5.0)) for oid in range(4)] + [
+        (9, Point(6.0, 6.0))  # in the first cell, but no radio attached
+    ]
+
+    def setup(self, layout, grid, latency, oids=(0, 1, 2, 3)):
+        transport, server = make_untraced_transport(layout, grid, latency)
+        log = []
+        clients = {oid: _LoggingClient(oid, log) for oid in oids}
+        for oid, client in clients.items():
+            transport.attach_client(oid, client)
+        transport.begin_step(1, self.POSITIONS)
+        return transport, server, log
+
+    def region(self, grid, k):
+        """Cells of the objects ``0..k`` (plus object 9's cell)."""
+        return [grid.cell_index(pos) for oid, pos in self.POSITIONS if oid <= k]
+
+    def queued(self, transport):
+        return [env for batch in transport._queue.values() for env in batch]
+
+    def test_one_envelope_counts_receivers(self, layout, grid):
+        transport, _, log = self.setup(layout, grid, LatencyModel(downlink_steps=1))
+        transport.broadcast(self.region(grid, 2), SizedMessage(bits=40))
+        (envelope,) = self.queued(transport)
+        assert envelope.kind == "broadcast"
+        assert envelope.receivers == sorted(envelope.receivers)
+        assert 9 not in envelope.receivers  # unattached: no hop, no seq
+        count = len(envelope.receivers)
+        assert count >= 3
+        assert transport.pending_count() == count
+        # The envelope reserved one seq per receiver.
+        assert transport._envelope_seq == envelope.seq + count - 1
+        transport.begin_step(2, self.POSITIONS)
+        transport.delivery_phase(2)
+        assert sorted(oid for oid, _ in log) == envelope.receivers
+        assert transport.drain_delivery_stats() == (count, count)
+        assert transport.pending_count() == 0
+
+    def test_detached_receiver_skipped(self, layout, grid):
+        transport, _, log = self.setup(layout, grid, LatencyModel(downlink_steps=1))
+        transport.broadcast(self.region(grid, 2), SizedMessage(bits=40))
+        (envelope,) = self.queued(transport)
+        assert 1 in envelope.receivers
+        transport.detach_client(1)
+        transport.begin_step(2, self.POSITIONS)
+        transport.delivery_phase(2)
+        assert [oid for oid, _ in log] == [o for o in envelope.receivers if o != 1]
+        # Counted as delivered, exactly like a per-receiver hop whose
+        # radio went away in flight.
+        assert transport.drain_delivery_stats()[0] == len(envelope.receivers)
+
+    @pytest.mark.parametrize("why", ["jitter", "trace"])
+    def test_per_receiver_hops_remain_under_jitter_or_trace(self, layout, grid, why):
+        if why == "jitter":
+            latency = LatencyModel(downlink_steps=1, jitter_steps=1, seed=3)
+            transport, _, _ = self.setup(layout, grid, latency)
+        else:
+            transport, *_ = make_transport(layout, grid, LatencyModel(downlink_steps=1))
+            for oid in range(4):
+                transport.attach_client(oid, FakeClient())
+            transport.begin_step(1, self.POSITIONS)
+        transport.broadcast(self.region(grid, 2), SizedMessage(bits=40))
+        kinds = [env.kind for env in self.queued(transport)]
+        assert len(kinds) >= 3 and set(kinds) == {"downlink"}
+
+    def run_ops(self, layout, grid, ops, monkeypatch, twin):
+        transport, server = make_untraced_transport(
+            layout, grid, LatencyModel(uplink_steps=1, downlink_steps=1)
+        )
+        if twin:
+            per_receiver(monkeypatch, transport)
+        log = []
+        for oid in range(4):
+            transport.attach_client(oid, _LoggingClient(oid, log))
+        transport.begin_step(1, self.POSITIONS)
+        step = 1
+        pending = []
+        for n, (op, oid) in enumerate(ops):
+            if op == "uplink":
+                transport.uplink(SizedMessage(oid=oid, bits=n))
+            elif op == "send":
+                transport.send(oid, SizedMessage(bits=n))
+            elif op == "broadcast":
+                transport.broadcast(self.region(grid, oid), SizedMessage(bits=n))
+            elif op == "detach":
+                transport.detach_client(oid)
+            else:
+                step += 1
+                transport.begin_step(step, self.POSITIONS)
+                transport.delivery_phase(step)
+            pending.append(transport.pending_count())
+        for _ in range(2):
+            step += 1
+            transport.begin_step(step, self.POSITIONS)
+            transport.delivery_phase(step)
+        ledger = transport.ledger
+        return (
+            [(m.oid, m.bits) for m in server.received],
+            log,
+            pending,
+            transport._envelope_seq,
+            transport.drain_delivery_stats(),
+            (ledger.downlink_count, ledger.downlink_bits, ledger.total_energy()),
+        )
+
+    @settings(
+        max_examples=60,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow, HealthCheck.function_scoped_fixture],
+    )
+    @given(ops=BROADCAST_OPS)
+    def test_any_interleaving_matches_per_receiver(self, ops, monkeypatch):
+        grid = Grid(Rect(0, 0, 50, 50), alpha=5.0)
+        layout = BaseStationLayout(grid, side_length=10.0)
+        with monkeypatch.context() as patch:
+            twin = self.run_ops(layout, grid, ops, patch, twin=True)
+        default = self.run_ops(layout, grid, ops, monkeypatch, twin=False)
+        assert default == twin
+
+
+# (uplink, downlink, jitter) hop delays of the equivalence matrix.
+EQUIVALENCE_LATENCIES = [(1, 1, 0), (2, 2, 0), (1, 0, 0), (0, 2, 0), (1, 1, 1)]
+
+
+def count_accepts(monkeypatch, system):
+    """Count the broadcasts the fan-out takes over (vectorized engine)."""
+    fanout = system.transport.fanout
+    accepted = [0]
+    if fanout is None:
+        return accepted
+    original = fanout.try_broadcast
+
+    def counted(*args):
+        ok = original(*args)
+        accepted[0] += ok
+        return ok
+
+    monkeypatch.setattr(fanout, "try_broadcast", counted)
+    return accepted
+
+
+def queued_kinds(system) -> set[tuple[str, str]]:
+    return {
+        (env.kind, type(env.message).__name__)
+        for batch in system.transport._queue.values()
+        for env in batch
+    }
+
+
+class TestBroadcastEnvelopeEquivalence:
+    """Default runs (broadcast envelopes, fan-out under latency) match a
+    per-receiver twin: ``step_hash`` every step and the metrics rows."""
+
+    @pytest.mark.parametrize("engine", ["reference", "vectorized"])
+    @pytest.mark.parametrize("shards", [1, 2, 4])
+    @pytest.mark.parametrize("delays", EQUIVALENCE_LATENCIES, ids=str)
+    def test_matches_per_receiver_twin(self, engine, shards, delays, monkeypatch):
+        from repro.core.snapshot import step_hash
+
+        if engine == "vectorized" and not numpy_available():
+            pytest.skip("numpy not installed")
+        uplink, downlink, jitter = delays
+
+        def model():
+            return LatencyModel(
+                uplink_steps=uplink, downlink_steps=downlink, jitter_steps=jitter, seed=5
+            )
+
+        default = build_system(engine, latency=model(), shards=shards)
+        twin = build_system(
+            engine,
+            latency=model(),
+            shards=shards,
+            prepare=lambda system: per_receiver(monkeypatch, system.transport),
+        )
+        accepted = count_accepts(monkeypatch, default)
+        twin_accepted = count_accepts(monkeypatch, twin)
+        kinds: set[tuple[str, str]] = set()
+        twin_kinds: set[tuple[str, str]] = set()
+        with default, twin:
+            for step in range(12):
+                default.step()
+                twin.step()
+                assert step_hash(default) == step_hash(twin), f"step {step + 1}"
+                kinds |= queued_kinds(default)
+                twin_kinds |= queued_kinds(twin)
+            assert metrics_snapshot(default) == metrics_snapshot(twin)
+        per_receiver_broadcasts = {k for k in kinds if k[0] == "downlink" and k[1] in BROADCAST_TYPES}
+        assert not any(kind == "broadcast" for kind, _ in twin_kinds)
+        if jitter:
+            # Jitter draws a delay per receiver: per-receiver hops remain.
+            assert per_receiver_broadcasts
+            assert not any(kind == "broadcast" for kind, _ in kinds)
+        else:
+            assert not per_receiver_broadcasts
+            # A zero downlink delay never parks a broadcast: it stays inline.
+            assert any(kind == "broadcast" for kind, _ in kinds) == bool(downlink)
+            if engine == "vectorized":
+                # The fan-out takes over under latency (inline at a zero
+                # downlink delay); the per-receiver twin declines.
+                assert accepted[0] > 0
+                assert twin_accepted[0] == 0
+
+    @pytest.mark.parametrize("engine", ["reference", "vectorized"])
+    def test_detach_in_flight_matches_twin(self, engine, monkeypatch):
+        """A radio detached while a broadcast envelope is in flight is
+        skipped at open, as its per-receiver hop would be."""
+        from repro.core.snapshot import step_hash
+
+        if engine == "vectorized" and not numpy_available():
+            pytest.skip("numpy not installed")
+        default = build_system(engine, config_latency=2)
+        twin = build_system(
+            engine,
+            config_latency=2,
+            prepare=lambda system: per_receiver(monkeypatch, system.transport),
+        )
+        with default, twin:
+            victims: set[int] = set()
+            for step in range(12):
+                default.step()
+                twin.step()
+                if not victims:
+                    # Every other receiver of every broadcast in flight.
+                    for batch in default.transport._queue.values():
+                        for env in batch:
+                            if env.kind == "broadcast":
+                                victims.update(env.receivers[::2])
+                    for oid in victims:
+                        default.transport.detach_client(oid)
+                        twin.transport.detach_client(oid)
+                assert step_hash(default) == step_hash(twin), f"step {step + 1}"
+            assert victims

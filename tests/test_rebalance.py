@@ -47,6 +47,7 @@ def build_system(
     rebalance_every=0,
     rebalance_metric="seconds",
     checkpoint_every=0,
+    batch_reports=True,
 ):
     params = dataclasses.replace(
         paper_defaults(), seed=seed, hotspot_fraction=hotspot
@@ -68,6 +69,7 @@ def build_system(
         rebalance_every_steps=rebalance_every,
         rebalance_metric=rebalance_metric,
         checkpoint_every_steps=checkpoint_every,
+        batch_reports=batch_reports,
     )
     system = MobiEyesSystem(
         config,
@@ -238,6 +240,20 @@ class TestStaleEpochReroute:
         assert [r for r, *_ in moving_trace] == [r for r, *_ in static_trace]
         assert moving.transport.stale_epoch_reroutes > 0
         assert static.transport.stale_epoch_reroutes == 0
+
+    def test_reroutes_count_records_not_batches(self):
+        """Each record of a stale batched-report envelope is one logical
+        uplink rerouted: the counter must not depend on batching."""
+        batched = build_system(shards=4, schedule=SCHEDULE, latency=2)
+        per_message = build_system(
+            shards=4, schedule=SCHEDULE, latency=2, batch_reports=False
+        )
+        assert run_trace(batched, 10) == run_trace(per_message, 10)
+        assert batched.transport.stale_epoch_reroutes > 0
+        assert (
+            batched.transport.stale_epoch_reroutes
+            == per_message.transport.stale_epoch_reroutes
+        )
 
     def test_zero_latency_has_no_stale_deliveries(self):
         system = build_system(shards=4, schedule=SCHEDULE)

@@ -27,6 +27,8 @@ from repro.sim.rng import SimulationRng
 from repro.soak import OP_INSTALL, OP_REMOVE, OP_UPDATE, ingest_script_stream
 from repro.workload import generate_workload, paper_defaults
 
+from tests.conftest import per_receiver
+
 ENGINES = ["reference"] + (["vectorized"] if numpy_available() else [])
 
 
@@ -46,6 +48,7 @@ def build_system(
     ingest_budget=0,
     queue_limit=0,
     inflight_limit=0,
+    prepare=None,
 ):
     params = build_params(scale=scale, seed=seed)
     rng = SimulationRng(params.seed)
@@ -70,6 +73,8 @@ def build_system(
         rng.fork(2),
         velocity_changes_per_step=params.velocity_changes_per_step,
     )
+    if prepare is not None:
+        prepare(system)
     system.install_queries(workload.query_specs)
     return system, workload, params
 
@@ -217,6 +222,42 @@ class TestBackpressure:
             assert service.deferred_ticks >= 1
             assert service.deferred_ops >= 1
             service.check_accounting()
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_inflight_gate_unmoved_by_broadcast_envelopes(self, engine, monkeypatch):
+        """The gate reads ``pending_count()``, which counts a broadcast
+        envelope once per receiver: it defers the same ticks as with one
+        envelope per receiver."""
+        runs = []
+        for twin in (False, True):
+            system, workload, params = build_system(
+                engine=engine,
+                latency=2,
+                inflight_limit=430,
+                prepare=(
+                    (lambda s: per_receiver(monkeypatch, s.transport)) if twin else None
+                ),
+            )
+            installs = {}
+            deferred = []
+            hashes = []
+            with MobiEyesService(system) as service:
+                for ops in scripted_steps(params, workload, 12):
+                    for op in ops:
+                        if op[0] == OP_UPDATE:
+                            service.submit_update(op[1], op[2], op[3])
+                        elif op[0] == OP_INSTALL:
+                            installs[op[1]] = service.install_query(op[2])
+                        else:
+                            service.remove_query(installs[op[1]])
+                    service.tick()
+                    deferred.append(service.deferred_ticks)
+                    hashes.append(step_hash(service.system))
+                service.check_accounting()
+            runs.append((deferred, hashes))
+        assert runs[0] == runs[1]
+        deferred = runs[0][0]
+        assert 0 < deferred[-1] < len(deferred)  # the gate both held and let go
 
     def test_explicit_queue_limit_overrides_derivation(self):
         system, _, _ = build_system(ingest_budget=2, queue_limit=9)

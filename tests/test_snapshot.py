@@ -94,6 +94,41 @@ class TestCheckpointRoundtrip:
         assert step_hash(resumed) == want
         resumed.close()
 
+    @pytest.mark.parametrize("engine", ["reference", "vectorized"])
+    def test_restore_with_broadcast_envelopes_in_flight(self, engine):
+        if engine == "vectorized":
+            pytest.importorskip("numpy")
+        system = build_system(engine=engine, latency=2, shards=2)
+        for _ in range(12):
+            system.step()
+            parked = [
+                env
+                for batch in system.transport._queue.values()
+                for env in batch
+                if env.kind == "broadcast"
+            ]
+            if parked:
+                break
+        assert parked, "no broadcast envelope in flight"
+        cp = checkpoint(system)
+        hashes = []
+        for _ in range(6):
+            system.step()
+            hashes.append(step_hash(system))
+        system.close()
+        resumed = restore(from_bytes(cp.to_bytes()))
+        (env,) = [
+            e
+            for batch in resumed.transport._queue.values()
+            for e in batch
+            if e.kind == "broadcast" and e.seq == parked[0].seq
+        ]
+        assert env.receivers == parked[0].receivers
+        for want in hashes:
+            resumed.step()
+            assert step_hash(resumed) == want
+        resumed.close()
+
     def test_checkpoint_is_not_consumed(self):
         system = build_system()
         system.run(4)
@@ -131,6 +166,19 @@ class TestCheckpointRoundtrip:
             restore(stale)
         with pytest.raises(ValueError):
             from_bytes(b"not a checkpoint")
+
+    def test_v3_checkpoint_refused(self):
+        # v4 added broadcast envelopes to the queue payload; a v3 blob
+        # cannot describe them and is refused, not half-restored.
+        assert CHECKPOINT_VERSION == 4
+        system = build_system()
+        cp = checkpoint(system)
+        system.close()
+        old = Checkpoint(version=3, payload=cp.payload)
+        with pytest.raises(ValueError, match="checkpoint version 3 unsupported"):
+            restore(old)
+        with pytest.raises(ValueError, match="checkpoint version 3 unsupported"):
+            from_bytes(old.to_bytes())
 
     def test_subscribers_are_unsupported(self):
         system = make_system([make_object(0, 25, 25), make_object(1, 26, 25)])
@@ -240,6 +288,30 @@ class TestShardCrashRecovery:
             system.step()
             assert qid in coord.owner_of
         coord.check_invariants()
+        system.close()
+
+    def test_crash_discard_keeps_broadcast_envelopes(self):
+        # A dead shard takes its queued uplinks with it; broadcast
+        # envelopes are downlinks already on the air and stay queued.
+        system = build_system(latency=2, shards=2)
+        system.run(6)
+
+        def queued(kind):
+            return [
+                env
+                for batch in system.transport._queue.values()
+                for env in batch
+                if env.kind == kind
+            ]
+
+        broadcasts = queued("broadcast")
+        assert broadcasts
+        pending = system.transport.pending_count()
+        system.server.crash_shard(1)
+        after = queued("broadcast")
+        assert len(after) == len(broadcasts)
+        assert all(a is b for a, b in zip(after, broadcasts))
+        assert system.transport.pending_count() <= pending
         system.close()
 
 
